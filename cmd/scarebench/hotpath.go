@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"scarecrow/internal/analysis"
+	"scarecrow/internal/core"
 	"scarecrow/internal/malware"
 	"scarecrow/internal/store"
 	"scarecrow/internal/trace"
+	"scarecrow/internal/winapi"
 	"scarecrow/internal/winsim"
 )
 
@@ -35,12 +37,20 @@ import (
 // is "a few dozen" rather than zero: a machine clone legitimately builds
 // a handful of fresh maps and one process arena; the budget exists to
 // keep the old per-field deep copy (~2000 allocations) from creeping
-// back.
+// back. A hooked and an unhooked call without arguments allocate nothing
+// (results travel by value, Call values are recycled, the genuine
+// implementation captures nothing); their budgets leave a sliver for the
+// amortized growth of the trace and trigger slices every call appends
+// to. The spawner budget is one paired verdict of Figure 4's self-spawn
+// exemplar, down from about 13,900 before those changes.
 const (
-	budgetCloneAllocs   = 64
-	budgetRecordAllocs  = 0.5
-	budgetMarshalAllocs = 2
-	budgetPutAllocs     = 2
+	budgetCloneAllocs          = 64
+	budgetRecordAllocs         = 0.5
+	budgetMarshalAllocs        = 2
+	budgetPutAllocs            = 2
+	budgetHookedCallAllocs     = 0.1
+	budgetUnhookedCallAllocs   = 0.1
+	budgetSpawnerVerdictAllocs = 4850
 )
 
 type hotpathOptions struct {
@@ -84,6 +94,13 @@ type HotpathReport struct {
 	Record          MicroBench `json:"record"`
 	Marshal         MicroBench `json:"marshal"`
 	StorePutBatched MicroBench `json:"store_put_batched"`
+
+	// Hook dispatch: one Scarecrow-hooked call (IsDebuggerPresent) and one
+	// unhooked call (GetCommandLine) in a protected process, and one
+	// paired verdict of the self-spawn exemplar (CorpusSelfSpawner).
+	HookedCall     MicroBench `json:"hooked_call"`
+	UnhookedCall   MicroBench `json:"unhooked_call"`
+	SpawnerVerdict MicroBench `json:"spawner_verdict"`
 }
 
 func (r HotpathReport) String() string {
@@ -93,13 +110,19 @@ func (r HotpathReport) String() string {
 			"  clone:   %8.0f ns/op  %6.1f allocs/op  %8.0f B/op\n"+
 			"  record:  %8.0f ns/op  %6.2f allocs/op  %8.0f B/op\n"+
 			"  marshal: %8.0f ns/op  %6.1f allocs/op  %8.0f B/op\n"+
-			"  put:     %8.0f ns/op  %6.2f allocs/op  %8.0f B/op (per record, batched)\n",
+			"  put:     %8.0f ns/op  %6.2f allocs/op  %8.0f B/op (per record, batched)\n"+
+			"  hooked:  %8.0f ns/op  %6.2f allocs/op  %8.0f B/op (IsDebuggerPresent under Scarecrow)\n"+
+			"  unhooked:%8.0f ns/op  %6.2f allocs/op  %8.0f B/op (GetCommandLine)\n"+
+			"  spawner: %8.0f ns/op  %6.0f allocs/op  %8.0f B/op (paired verdict)\n",
 		r.ColdVerdicts, r.ColdWorkers, r.GoMaxProcs,
 		r.ColdWallS, r.ColdVerdictsPerS, r.ColdSpeedup, r.BaselineColdVerdictsPerS,
 		r.Clone.NsPerOp, r.Clone.AllocsPerOp, r.Clone.BytesPerOp,
 		r.Record.NsPerOp, r.Record.AllocsPerOp, r.Record.BytesPerOp,
 		r.Marshal.NsPerOp, r.Marshal.AllocsPerOp, r.Marshal.BytesPerOp,
-		r.StorePutBatched.NsPerOp, r.StorePutBatched.AllocsPerOp, r.StorePutBatched.BytesPerOp)
+		r.StorePutBatched.NsPerOp, r.StorePutBatched.AllocsPerOp, r.StorePutBatched.BytesPerOp,
+		r.HookedCall.NsPerOp, r.HookedCall.AllocsPerOp, r.HookedCall.BytesPerOp,
+		r.UnhookedCall.NsPerOp, r.UnhookedCall.AllocsPerOp, r.UnhookedCall.BytesPerOp,
+		r.SpawnerVerdict.NsPerOp, r.SpawnerVerdict.AllocsPerOp, r.SpawnerVerdict.BytesPerOp)
 }
 
 // runHotpathMode drives -hotpath: measure, print, write the artifact, and
@@ -148,6 +171,15 @@ func runHotpathMode(opts hotpathOptions, out string) {
 	if report.StorePutBatched.AllocsPerOp > budgetPutAllocs {
 		fail("batched Store.Put allocates %.2f objects/record, budget is %d", report.StorePutBatched.AllocsPerOp, budgetPutAllocs)
 	}
+	if report.HookedCall.AllocsPerOp > budgetHookedCallAllocs {
+		fail("hooked API call allocates %.2f objects/call, budget is %.1f", report.HookedCall.AllocsPerOp, budgetHookedCallAllocs)
+	}
+	if report.UnhookedCall.AllocsPerOp > budgetUnhookedCallAllocs {
+		fail("unhooked API call allocates %.2f objects/call, budget is %.1f", report.UnhookedCall.AllocsPerOp, budgetUnhookedCallAllocs)
+	}
+	if report.SpawnerVerdict.AllocsPerOp > budgetSpawnerVerdictAllocs {
+		fail("spawner paired verdict allocates %.0f objects, budget is %d", report.SpawnerVerdict.AllocsPerOp, budgetSpawnerVerdictAllocs)
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -194,6 +226,15 @@ func benchHotpath(opts hotpathOptions) (HotpathReport, error) {
 		return report, err
 	}
 	if report.StorePutBatched, err = benchPutBatched(); err != nil {
+		return report, err
+	}
+	if report.HookedCall, err = benchHookCall(func(ctx *winapi.Context) { ctx.IsDebuggerPresent() }); err != nil {
+		return report, err
+	}
+	if report.UnhookedCall, err = benchHookCall(func(ctx *winapi.Context) { ctx.GetCommandLine() }); err != nil {
+		return report, err
+	}
+	if report.SpawnerVerdict, err = benchSpawnerVerdict(); err != nil {
 		return report, err
 	}
 	return report, nil
@@ -354,4 +395,68 @@ func benchPutBatched() (MicroBench, error) {
 			}
 		}
 	}), batchSize), nil
+}
+
+// protectedContext deploys Scarecrow on a fresh bare-metal machine and
+// returns the API context of a launched, registered target.
+func protectedContext() (*winapi.Context, error) {
+	m := winsim.NewProfileMachine(winsim.ProfileBareMetalSandbox, 0)
+	sys := winapi.NewSystem(m)
+	const image = `C:\Users\admin\Desktop\target.exe`
+	sys.RegisterProgram(image, func(*winapi.Context) int { return winapi.ExitOK })
+	ctrl, err := core.Deploy(sys, core.NewEngine(core.NewDB(), core.RecommendedConfig(m.Profile)))
+	if err != nil {
+		return nil, err
+	}
+	target, err := ctrl.LaunchTarget(image, "target.exe")
+	if err != nil {
+		return nil, err
+	}
+	return sys.Context(target), nil
+}
+
+// benchHookCall measures one API call in a protected process. A hooked
+// call reports a trigger each time, so the deployment is renewed (off the
+// clock) every few thousand calls to keep the trigger stream at a
+// realistic length.
+func benchHookCall(call func(*winapi.Context)) (MicroBench, error) {
+	const callsPerDeployment = 4096
+	var setupErr error
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var ctx *winapi.Context
+		for i := 0; i < b.N; i++ {
+			if i%callsPerDeployment == 0 {
+				b.StopTimer()
+				var err error
+				if ctx, err = protectedContext(); err != nil {
+					setupErr = err
+					return
+				}
+				call(ctx) // size the Call free list and trigger slice
+				b.StartTimer()
+			}
+			call(ctx)
+		}
+	})
+	if setupErr != nil {
+		return MicroBench{}, fmt.Errorf("hook-call bench deployment: %w", setupErr)
+	}
+	return micro(r, 1), nil
+}
+
+// benchSpawnerVerdict measures one paired verdict of Figure 4's self-spawn
+// exemplar, the run shape of 78% of the MalGene corpus under Scarecrow.
+func benchSpawnerVerdict() (MicroBench, error) {
+	lab := analysis.NewLab(0)
+	s := malware.CorpusSelfSpawner()
+	if res := lab.RunSampleSeeded(s, 1); res.Err != nil {
+		return MicroBench{}, fmt.Errorf("spawner bench lab run: %w", res.Err)
+	}
+	return micro(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lab.RunSampleSeeded(s, 1)
+		}
+	}), 1), nil
 }

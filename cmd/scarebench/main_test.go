@@ -158,10 +158,13 @@ func TestBenchHotpath(t *testing.T) {
 		t.Fatalf("speedup %.2f does not match rate %.1f over baseline 90", report.ColdSpeedup, report.ColdVerdictsPerS)
 	}
 	for name, m := range map[string]MicroBench{
-		"clone":   report.Clone,
-		"record":  report.Record,
-		"marshal": report.Marshal,
-		"put":     report.StorePutBatched,
+		"clone":    report.Clone,
+		"record":   report.Record,
+		"marshal":  report.Marshal,
+		"put":      report.StorePutBatched,
+		"hooked":   report.HookedCall,
+		"unhooked": report.UnhookedCall,
+		"spawner":  report.SpawnerVerdict,
 	} {
 		if m.NsPerOp <= 0 {
 			t.Errorf("%s stage unmeasured: %+v", name, m)
@@ -185,6 +188,15 @@ func TestBenchHotpath(t *testing.T) {
 	}
 	if report.StorePutBatched.AllocsPerOp > budgetPutAllocs {
 		t.Errorf("batched put allocs %.2f over budget %d", report.StorePutBatched.AllocsPerOp, budgetPutAllocs)
+	}
+	if report.HookedCall.AllocsPerOp > budgetHookedCallAllocs {
+		t.Errorf("hooked call allocs %.2f over budget %.1f", report.HookedCall.AllocsPerOp, budgetHookedCallAllocs)
+	}
+	if report.UnhookedCall.AllocsPerOp > budgetUnhookedCallAllocs {
+		t.Errorf("unhooked call allocs %.2f over budget %.1f", report.UnhookedCall.AllocsPerOp, budgetUnhookedCallAllocs)
+	}
+	if report.SpawnerVerdict.AllocsPerOp > budgetSpawnerVerdictAllocs {
+		t.Errorf("spawner verdict allocs %.0f over budget %d", report.SpawnerVerdict.AllocsPerOp, budgetSpawnerVerdictAllocs)
 	}
 	if !strings.Contains(report.String(), "cold:") {
 		t.Errorf("report rendering missing cold line: %s", report)

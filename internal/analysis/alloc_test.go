@@ -75,3 +75,28 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 		t.Fatalf("AppendJSON clobbered its prefix: %s", withPrefix)
 	}
 }
+
+// budgetSpawnerVerdictAllocs is the allocation budget of one paired
+// verdict of the Figure 4 self-spawn exemplar (474 respawns under
+// Scarecrow), mirrored by the scarebench -hotpath gate. Before results
+// travelled by value and the subtree summary folded in place it was about
+// 13,900.
+const budgetSpawnerVerdictAllocs = 4850
+
+// The self-spawn loop is 78% of the MalGene corpus under Scarecrow; this
+// pins the per-verdict allocation count its hot path was cut to.
+func TestSpawnerVerdictAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector intentionally defeats sync.Pool reuse; the budget is unmeasurable")
+	}
+	lab := NewLab(0)
+	s := malware.CorpusSelfSpawner()
+	if res := lab.RunSampleSeeded(s, 1); res.Err != nil || res.Protected.Summary.SelfSpawns < SpawnLoopThreshold {
+		t.Fatalf("spawner run: err %v, %d self-spawns", res.Err, res.Protected.Summary.SelfSpawns)
+	}
+	allocs := testing.AllocsPerRun(10, func() { lab.RunSampleSeeded(s, 1) })
+	t.Logf("spawner paired verdict: %.0f allocations", allocs)
+	if allocs > budgetSpawnerVerdictAllocs {
+		t.Errorf("spawner paired verdict allocates %.0f objects, budget is %d", allocs, budgetSpawnerVerdictAllocs)
+	}
+}

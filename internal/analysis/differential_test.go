@@ -162,3 +162,35 @@ func countForeign(r *trace.Recorder, marker string) int {
 	}
 	return n
 }
+
+// TestToolkillerVerdictDeterministic is the regression test for the
+// Toolhelp decoy order: the snapshot hook once appended its deceptive
+// processes by ranging over a map, so toolkiller — which walks the process
+// list and kills analysis tools in the order it sees them — produced
+// different trigger streams, and so different verdict bytes, from one
+// identical run to the next.
+func TestToolkillerVerdictDeterministic(t *testing.T) {
+	s, err := malware.Resolve("toolkiller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := NewLab(0)
+	var want []byte
+	for i := 0; i < 30; i++ {
+		res := lab.RunSampleSeeded(s, 7)
+		if res.Err != nil {
+			t.Fatalf("run %d: %v", i, res.Err)
+		}
+		got, err := res.Doc().AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if string(got) != string(want) {
+			t.Fatalf("run %d verdict bytes differ from run 0:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}

@@ -174,7 +174,7 @@ func (l *Lab) runProtected(s *malware.Specimen, seed int64, plan *winsim.FaultPl
 	sys.Run(ObservationWindow)
 	ex := Execution{
 		Summary:     subtreeSummary(m, root.PID),
-		Triggers:    ctrl.Session.Triggers(),
+		Triggers:    ctrl.Session.TakeTriggers(),
 		Alerts:      ctrl.Session.Alerts(),
 		VirtualTime: m.Clock.Now(),
 	}
@@ -200,8 +200,16 @@ func agentProcess(m *winsim.Machine) (*winsim.Process, error) {
 // order and parents are always created before their children, so one pass
 // suffices.
 func subtreeDescendants(m *winsim.Machine, rootPID int) map[int]bool {
-	desc := map[int]bool{rootPID: true}
-	for _, p := range m.Procs.All() {
+	procs := m.Procs.All()
+	// The tree lies in the creation-order suffix that starts at the root;
+	// size the set for it, since a spawn loop grows it to hundreds.
+	i := 0
+	for i < len(procs) && procs[i].PID != rootPID {
+		i++
+	}
+	desc := make(map[int]bool, len(procs)-i)
+	desc[rootPID] = true
+	for _, p := range procs {
 		if desc[p.ParentPID] {
 			desc[p.PID] = true
 		}
@@ -213,12 +221,13 @@ func subtreeDescendants(m *winsim.Machine, rootPID int) map[int]bool {
 // process tree. Attribution follows parent links — a PID threshold would
 // also claim unrelated processes that merely started after the sample
 // (engine- or agent-spawned work in protected runs), corrupting the
-// file/registry diff the verdict rests on.
+// file/registry diff the verdict rests on. The fold runs in place over
+// the recorder's own events; no event is copied.
 func subtreeSummary(m *winsim.Machine, rootPID int) trace.Summary {
 	desc := subtreeDescendants(m, rootPID)
-	return trace.Summarize(m.Tracer.Filter(func(e trace.Event) bool {
+	return m.Tracer.SummarizeWhere(func(e trace.Event) bool {
 		return desc[e.PID]
-	}))
+	})
 }
 
 // SampleResult is the paired-execution outcome for one sample.

@@ -27,10 +27,6 @@ type Controller struct {
 	sys      *winapi.System
 	proc     *winsim.Process
 	injected map[int]bool
-	// followFailures records descendants whose follow-injection failed.
-	// The CreateProcess notification callback has no error channel (as in
-	// reality), so failures are recorded and alerted instead of lost.
-	followFailures []string
 }
 
 // Deploy installs Scarecrow on a machine: starts the controller process,
@@ -76,8 +72,10 @@ func Deploy(sys *winapi.System, engine *Engine) (*Controller, error) {
 				prev(parent, child)
 			}
 			if ctrl.injected[parent.PID] {
+				// The CreateProcess notification callback has no error
+				// channel (as in reality), so a failure is alerted
+				// instead of lost.
 				if err := ctrl.inject(child); err != nil {
-					ctrl.followFailures = append(ctrl.followFailures, child.Image)
 					ctrl.Session.Alert(fmt.Sprintf("follow-injection into %s (PID %d) failed: %v",
 						child.Image, child.PID, err))
 				}
@@ -130,10 +128,6 @@ func (ct *Controller) inject(p *winsim.Process) error {
 
 // Injected reports whether a PID carries scarecrow.dll.
 func (ct *Controller) Injected(pid int) bool { return ct.injected[pid] }
-
-// FollowFailures returns the images of descendants whose follow-injection
-// failed (also surfaced as session alerts).
-func (ct *Controller) FollowFailures() []string { return ct.followFailures }
 
 // InjectedCount returns how many processes carry scarecrow.dll.
 func (ct *Controller) InjectedCount() int { return len(ct.injected) }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"scarecrow/internal/winapi"
 	"scarecrow/internal/winsim"
@@ -39,9 +38,10 @@ type Engine struct {
 	// Config.WearAndTear is enabled.
 	WearTear WearTearFakes
 
-	// decoyPIDByImage assigns stable fake PIDs to the deceptive processes
-	// the Toolhelp snapshot hook plants.
-	decoyPIDByImage map[string]int
+	// decoys are the deceptive process entries the Toolhelp snapshot hook
+	// plants, with stable fake PIDs, in DB.DeceptiveProcesses order;
+	// decoyImageByPID indexes them for the process-protection hooks.
+	decoys          []winapi.ProcessEntry
 	decoyImageByPID map[int]string
 
 	// table is the deployment's shared hook table — scarecrow.dll's patch
@@ -49,11 +49,6 @@ type Engine struct {
 	// process in O(1) instead of re-installing 35+ hook chains per PID.
 	table        *winapi.HookTable
 	tableSession *Session
-
-	// injectedAt records each process's injection time, read by the
-	// GetTickCount hook so the deceptive tick stream starts near "just
-	// booted" for that process.
-	injectedAt map[int]time.Duration
 }
 
 // NewEngine builds an engine over a resource database and configuration.
@@ -62,13 +57,11 @@ func NewEngine(db *DB, cfg Config) *Engine {
 		DB:              db,
 		Config:          cfg,
 		WearTear:        DefaultWearTearFakes(),
-		decoyPIDByImage: make(map[string]int),
 		decoyImageByPID: make(map[int]string),
-		injectedAt:      make(map[int]time.Duration),
 	}
 	for i, img := range db.DeceptiveProcesses() {
 		pid := 90000 + 4*i
-		e.decoyPIDByImage[img] = pid
+		e.decoys = append(e.decoys, winapi.ProcessEntry{PID: pid, ParentPID: 4, Image: img})
 		e.decoyImageByPID[pid] = img
 	}
 	return e
@@ -78,8 +71,8 @@ func NewEngine(db *DB, cfg Config) *Engine {
 // loaded, rewrites the prologues of the 29 hooked APIs, and wires every
 // handler to the deployment session for IPC trigger reporting. The hook
 // table is built once per (engine, session) and shared by every injected
-// process; per process the injection is one table attach plus the
-// injection-time capture the deceptive tick stream starts from.
+// process; per process the injection is one table attach, whose virtual
+// time (Call.AttachedAt) is where the deceptive tick stream starts.
 func (e *Engine) InstallHooks(sys *winapi.System, proc *winsim.Process, session *Session) error {
 	if e.table == nil || e.tableSession != session {
 		t, err := e.buildHookTable(session)
@@ -90,9 +83,7 @@ func (e *Engine) InstallHooks(sys *winapi.System, proc *winsim.Process, session 
 		e.tableSession = session
 	}
 	proc.LoadModule("scarecrow.dll")
-	e.injectedAt[proc.PID] = sys.M.Clock.Now()
 	if err := sys.InstallHookTable(proc.PID, e.table); err != nil {
-		delete(e.injectedAt, proc.PID)
 		return fmt.Errorf("core: installing hook table: %w", err)
 	}
 	return nil
@@ -115,19 +106,19 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 	enabled := func(cat Category) bool { return e.Config.CategoryEnabled(cat) }
 
 	handlers := map[string]winapi.HookHandler{
-		"RegOpenKeyEx": func(c *winapi.Context, call *winapi.Call) any {
+		"RegOpenKeyEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleRegOpen(c, call, report, allowed)
 		},
-		"NtOpenKeyEx": func(c *winapi.Context, call *winapi.Call) any {
+		"NtOpenKeyEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleRegOpen(c, call, report, allowed)
 		},
-		"RegQueryValueEx": func(c *winapi.Context, call *winapi.Call) any {
+		"RegQueryValueEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleRegQueryValue(c, call, report, allowed)
 		},
-		"NtQueryValueKey": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQueryValueKey": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleRegQueryValue(c, call, report, allowed)
 		},
-		"NtQueryKey": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQueryKey": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			path := call.StrArg(0)
 			if vendor, ok := e.DB.MatchRegKey(path); ok && allowed(vendor) {
 				report(c, call.Name, CategoryRegistry, vendor, path)
@@ -136,11 +127,11 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			return call.Original()
 		},
-		"GetAdaptersInfo": func(c *winapi.Context, call *winapi.Call) any {
+		"GetAdaptersInfo": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			// Append deceptive virtual adapters to the genuine list: one
 			// VirtualBox MAC and one VMware MAC, so MAC-prefix probes of
 			// either vendor see their marker.
-			genuine := call.Original().(winapi.Result)
+			genuine := call.Original()
 			report(c, call.Name, CategoryHardware, VendorVBox, "adapter-macs")
 			if e.Config.ProfileIsolation {
 				switch {
@@ -156,19 +147,19 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				winapi.AdapterInfo{MAC: "00:50:56:de:ad:02"})
 			return genuine
 		},
-		"CreateFile": func(c *winapi.Context, call *winapi.Call) any {
+		"CreateFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleFileProbe(c, call, report, allowed)
 		},
-		"NtCreateFile": func(c *winapi.Context, call *winapi.Call) any {
+		"NtCreateFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleFileProbe(c, call, report, allowed)
 		},
-		"NtQueryAttributesFile": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQueryAttributesFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleFileProbe(c, call, report, allowed)
 		},
-		"GetFileAttributes": func(c *winapi.Context, call *winapi.Call) any {
+		"GetFileAttributes": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleFileProbe(c, call, report, allowed)
 		},
-		"FindFirstFile": func(c *winapi.Context, call *winapi.Call) any {
+		"FindFirstFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			pattern := call.StrArg(0)
 			if vendor, ok := e.DB.MatchFile(strings.TrimSuffix(pattern, `\*`)); ok && allowed(vendor) {
 				report(c, call.Name, CategoryFile, vendor, pattern)
@@ -180,10 +171,10 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 		// DeleteFile is hooked pass-through: the rewritten prologue itself
 		// is the deception (anti-hooking malware reads it and concludes it
 		// is being monitored — Figure 1).
-		"DeleteFile": func(c *winapi.Context, call *winapi.Call) any {
+		"DeleteFile": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return call.Original()
 		},
-		"GetDiskFreeSpaceEx": func(c *winapi.Context, call *winapi.Call) any {
+		"GetDiskFreeSpaceEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !e.Config.FakeHardware {
 				return call.Original()
 			}
@@ -192,16 +183,16 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				TotalBytes: e.DB.HW.DiskTotalBytes, FreeBytes: e.DB.HW.DiskFreeBytes,
 			}}
 		},
-		"GetSystemInfo": func(c *winapi.Context, call *winapi.Call) any {
+		"GetSystemInfo": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !e.Config.FakeHardware {
 				return call.Original()
 			}
 			report(c, call.Name, CategoryHardware, VendorGeneric, "cpu-cores")
-			genuine := call.Original().(winapi.Result)
+			genuine := call.Original()
 			genuine.SysInfo.NumberOfProcessors = e.DB.HW.NumCores
 			return genuine
 		},
-		"GlobalMemoryStatusEx": func(c *winapi.Context, call *winapi.Call) any {
+		"GlobalMemoryStatusEx": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !e.Config.FakeHardware {
 				return call.Original()
 			}
@@ -210,19 +201,19 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 				TotalPhysBytes: e.DB.HW.RAMBytes, AvailPhysBytes: e.DB.HW.RAMBytes / 2,
 			}}
 		},
-		"GetComputerName": func(c *winapi.Context, call *winapi.Call) any {
+		"GetComputerName": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "computer-name")
 			return winapi.Result{Status: winapi.StatusSuccess, Str: e.DB.HW.ComputerName}
 		},
-		"GetUserName": func(c *winapi.Context, call *winapi.Call) any {
+		"GetUserName": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "user-name")
 			return winapi.Result{Status: winapi.StatusSuccess, Str: e.DB.HW.UserName}
 		},
-		"GetModuleFileName": func(c *winapi.Context, call *winapi.Call) any {
+		"GetModuleFileName": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "sample-path")
 			return winapi.Result{Status: winapi.StatusSuccess, Str: e.DB.HW.SamplePath}
 		},
-		"GetModuleHandle": func(c *winapi.Context, call *winapi.Call) any {
+		"GetModuleHandle": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			name := call.StrArg(0)
 			if vendor, ok := e.DB.MatchLibrary(name); ok && allowed(vendor) && enabled(CategoryLibrary) {
 				report(c, call.Name, CategoryLibrary, vendor, name)
@@ -230,7 +221,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			return call.Original()
 		},
-		"GetProcAddress": func(c *winapi.Context, call *winapi.Call) any {
+		"GetProcAddress": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			proc := call.StrArg(1)
 			if vendor, ok := e.DB.MatchExport(proc); ok && allowed(vendor) && enabled(CategoryLibrary) {
 				report(c, call.Name, CategoryLibrary, vendor, proc)
@@ -238,33 +229,29 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			return call.Original()
 		},
-		"CreateToolhelp32Snapshot": func(c *winapi.Context, call *winapi.Call) any {
-			genuine := call.Original().(winapi.Result)
+		"CreateToolhelp32Snapshot": func(c *winapi.Context, call *winapi.Call) winapi.Result {
+			genuine := call.Original()
 			if !enabled(CategoryProcess) {
 				return genuine
 			}
 			report(c, call.Name, CategoryProcess, VendorDebugger, "process-list")
-			for img, pid := range e.decoyPIDByImage {
-				genuine.Entries = append(genuine.Entries, winapi.ProcessEntry{
-					PID: pid, ParentPID: 4, Image: img,
-				})
-			}
+			genuine.Entries = append(genuine.Entries, e.decoys...)
 			return genuine
 		},
-		"CreateProcess": func(c *winapi.Context, call *winapi.Call) any {
+		"CreateProcess": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleSpawn(c, call, session)
 		},
-		"ShellExecuteExW": func(c *winapi.Context, call *winapi.Call) any {
+		"ShellExecuteExW": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			return e.handleSpawn(c, call, session)
 		},
-		"IsDebuggerPresent": func(c *winapi.Context, call *winapi.Call) any {
+		"IsDebuggerPresent": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !enabled(CategoryDebugger) {
 				return call.Original()
 			}
 			report(c, call.Name, CategoryDebugger, VendorDebugger, "PEB.BeingDebugged")
 			return winapi.Result{Status: winapi.StatusSuccess, Bool: true}
 		},
-		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			// A kernel debugger "is attached" in the deceptive view; other
 			// information classes pass through (the wear-and-tear
 			// extension wraps this hook for regSize).
@@ -274,13 +261,15 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			return call.Original()
 		},
-		"GetTickCount": func(c *winapi.Context, call *winapi.Call) any {
+		"GetTickCount": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "uptime")
-			elapsed := c.M.Clock.Now() - e.injectedAt[c.P.PID]
+			// The deceptive tick stream starts near "just booted" at the
+			// moment scarecrow.dll was injected into this process.
+			elapsed := c.M.Clock.Now() - call.AttachedAt()
 			return winapi.Result{Status: winapi.StatusSuccess,
 				Num: e.Config.deceptiveTick(e.DB.HW.TickBaseMillis, elapsed)}
 		},
-		"FindWindow": func(c *winapi.Context, call *winapi.Call) any {
+		"FindWindow": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			class, title := call.StrArg(0), call.StrArg(1)
 			for _, probe := range []string{class, title} {
 				if probe == "" {
@@ -294,11 +283,11 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			}
 			return call.Original()
 		},
-		"DnsQuery": func(c *winapi.Context, call *winapi.Call) any {
+		"DnsQuery": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if !e.Config.SinkholeNXDomains {
 				return call.Original()
 			}
-			genuine := call.Original().(winapi.Result)
+			genuine := call.Original()
 			if genuine.Status.OK() {
 				return genuine
 			}
@@ -306,7 +295,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 			report(c, call.Name, CategoryNetwork, VendorGeneric, domain)
 			return winapi.Result{Status: winapi.StatusSuccess, Str: e.DB.SinkholeIP}
 		},
-		"GetCursorPos": func(c *winapi.Context, call *winapi.Call) any {
+		"GetCursorPos": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, CategoryHardware, VendorGeneric, "cursor")
 			// A frozen pointer: sandboxes have nobody at the mouse.
 			return winapi.Result{Status: winapi.StatusSuccess, Num: winapi.PackCursorPos(512, 384)}
@@ -326,7 +315,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 
 	// Process protection (§II-B(b)): the planted analysis-tool processes
 	// resist termination by untrusted software.
-	if err := t.Hook("TerminateProcess", func(c *winapi.Context, call *winapi.Call) any {
+	if err := t.Hook("TerminateProcess", func(c *winapi.Context, call *winapi.Call) winapi.Result {
 		pid, _ := call.Arg(0).(int)
 		if img, ok := e.decoyImageByPID[pid]; ok {
 			report(c, call.Name, CategoryProcess, VendorDebugger, img)
@@ -336,7 +325,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("core: installing protection hook: %w", err)
 	}
-	if err := t.Hook("OpenProcess", func(c *winapi.Context, call *winapi.Call) any {
+	if err := t.Hook("OpenProcess", func(c *winapi.Context, call *winapi.Call) winapi.Result {
 		pid, _ := call.Arg(0).(int)
 		if _, ok := e.decoyImageByPID[pid]; ok {
 			return winapi.Result{Status: winapi.StatusSuccess}
@@ -361,7 +350,7 @@ func (e *Engine) buildHookTable(session *Session) (*winapi.HookTable, error) {
 
 func (e *Engine) handleRegOpen(c *winapi.Context, call *winapi.Call,
 	report func(*winapi.Context, string, Category, VendorProfile, string),
-	allowed func(VendorProfile) bool) any {
+	allowed func(VendorProfile) bool) winapi.Result {
 	if !e.Config.CategoryEnabled(CategoryRegistry) {
 		return call.Original()
 	}
@@ -375,7 +364,7 @@ func (e *Engine) handleRegOpen(c *winapi.Context, call *winapi.Call,
 
 func (e *Engine) handleRegQueryValue(c *winapi.Context, call *winapi.Call,
 	report func(*winapi.Context, string, Category, VendorProfile, string),
-	allowed func(VendorProfile) bool) any {
+	allowed func(VendorProfile) bool) winapi.Result {
 	if !e.Config.CategoryEnabled(CategoryRegistry) {
 		return call.Original()
 	}
@@ -393,7 +382,7 @@ func (e *Engine) handleRegQueryValue(c *winapi.Context, call *winapi.Call,
 
 func (e *Engine) handleFileProbe(c *winapi.Context, call *winapi.Call,
 	report func(*winapi.Context, string, Category, VendorProfile, string),
-	allowed func(VendorProfile) bool) any {
+	allowed func(VendorProfile) bool) winapi.Result {
 	if !e.Config.CategoryEnabled(CategoryFile) {
 		return call.Original()
 	}
@@ -409,8 +398,8 @@ func (e *Engine) handleFileProbe(c *winapi.Context, call *winapi.Call,
 // handleSpawn passes process creation through and feeds the mitigation
 // ledger (§VI-C): self-spawning loops raise an alarm at the configured
 // threshold, and the kill policy terminates the forking process.
-func (e *Engine) handleSpawn(c *winapi.Context, call *winapi.Call, session *Session) any {
-	genuine := call.Original().(winapi.Result)
+func (e *Engine) handleSpawn(c *winapi.Context, call *winapi.Call, session *Session) winapi.Result {
+	genuine := call.Original()
 	image := strings.ToLower(baseName(call.StrArg(0)))
 	count := session.NoteSpawn(image)
 	if count == e.Config.SpawnAlarmThreshold {

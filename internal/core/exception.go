@@ -18,7 +18,7 @@ import (
 // deployments; see Config).
 func (e *Engine) hookExceptionDeception(t *winapi.HookTable, session *Session) error {
 	const deceptiveDispatchDelay = 2 * time.Millisecond
-	handler := func(c *winapi.Context, call *winapi.Call) any {
+	handler := func(c *winapi.Context, call *winapi.Call) winapi.Result {
 		session.Report(TriggerReport{
 			Time: c.M.Clock.Now(), PID: c.P.PID, API: call.Name,
 			Category: CategoryHook, Vendor: VendorDebugger, Resource: "exception-dispatch",

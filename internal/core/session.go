@@ -72,6 +72,18 @@ func (s *Session) Triggers() []TriggerReport {
 	return out
 }
 
+// TakeTriggers hands the report slice over to the caller without the
+// defensive copy Triggers makes, and leaves the session with no reports.
+// The lab takes a finished run's triggers this way: the session is
+// discarded with the run, so nothing else can observe the slice.
+func (s *Session) TakeTriggers() []TriggerReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.triggers
+	s.triggers = nil
+	return out
+}
+
 // FirstTrigger returns the earliest report, matching Table I's "first
 // trigger" column.
 func (s *Session) FirstTrigger() (TriggerReport, bool) {

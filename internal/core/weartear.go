@@ -82,31 +82,31 @@ func (e *Engine) hookWearAndTear(t *winapi.HookTable, session *Session) error {
 	fakes := e.wtKeyFakes()
 
 	hooks := map[string]winapi.HookHandler{
-		"DnsGetCacheDataTable": func(c *winapi.Context, call *winapi.Call) any {
+		"DnsGetCacheDataTable": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, "dnscacheEntries")
-			genuine := call.Original().(winapi.Result)
+			genuine := call.Original()
 			if len(genuine.Strs) > e.WearTear.DNSCacheEntries {
 				genuine.Strs = genuine.Strs[len(genuine.Strs)-e.WearTear.DNSCacheEntries:]
 			}
 			return genuine
 		},
-		"EvtNext": func(c *winapi.Context, call *winapi.Call) any {
+		"EvtNext": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			report(c, call.Name, "sysevt/syssrc")
-			genuine := call.Original().(winapi.Result)
+			genuine := call.Original()
 			genuine.Num = uint64(e.WearTear.EventTotal)
 			if len(genuine.Strs) > e.WearTear.EventSources {
 				genuine.Strs = genuine.Strs[:e.WearTear.EventSources]
 			}
 			return genuine
 		},
-		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQuerySystemInformation": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			if call.StrArg(0) == winapi.SystemRegistryQuotaInformation {
 				report(c, call.Name, "regSize")
 				return winapi.Result{Status: winapi.StatusSuccess, Num: e.WearTear.RegistryQuota}
 			}
 			return call.Original()
 		},
-		"NtQueryKey": func(c *winapi.Context, call *winapi.Call) any {
+		"NtQueryKey": func(c *winapi.Context, call *winapi.Call) winapi.Result {
 			path := strings.ToLower(call.StrArg(0))
 			if strings.Contains(path, "userassist") && strings.HasSuffix(path, `\count`) {
 				report(c, call.Name, "usrassistCount")

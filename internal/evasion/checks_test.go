@@ -146,7 +146,7 @@ func TestDirectSyscallRegistryKeyBypassesHooks(t *testing.T) {
 	p := sys.Launch(`C:\probe.exe`, "", nil)
 	ctx := sys.Context(p)
 	// Hook NtOpenKeyEx to lie; the direct-syscall check must see through.
-	err := sys.InstallHook(p.PID, "NtOpenKeyEx", func(c *winapi.Context, call *winapi.Call) any {
+	err := sys.InstallHook(p.PID, "NtOpenKeyEx", func(c *winapi.Context, call *winapi.Call) winapi.Result {
 		return winapi.Result{Status: winapi.StatusSuccess}
 	})
 	if err != nil {

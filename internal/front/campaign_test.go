@@ -202,13 +202,17 @@ func TestBackendRingWrapSelfHeals(t *testing.T) {
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
-	// Cut the follower's stream as soon as the sub-campaign lands: the
-	// backend sweeps all 16 cells while the front is parked, wrapping
+	// Cut the follower's stream as soon as the sub-campaign lands. The
+	// backend's submissions are held until then, so however fast its lab
+	// runs, no cell completes while the follower still listens: released,
+	// the backend sweeps all 16 cells while the front is parked, wrapping
 	// its 4-event ring.
+	release := b0.holdSubmissions()
 	id, total := launchFront(t, ts, `{"specimens":["kasidet","wannacry"],"seeds":[1,2,3,4,5,6,7,8]}`)
 	waitBackendHasCampaigns(t, b0, 1)
 	b0.swap.setDown()
 	b0.ts.CloseClientConnections()
+	release()
 	waitBackendIdle(t, b0, 1)
 	b0.swap.setUp()
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scarecrow/internal/campaign"
+	"scarecrow/internal/malware"
 	"scarecrow/internal/service"
 	"scarecrow/internal/store"
 )
@@ -71,6 +72,12 @@ type testBackend struct {
 	srv  *service.Server
 	eng  *campaign.Engine
 	st   *store.Store
+
+	// hold, while non-nil, parks every submission until it is closed
+	// (see holdSubmissions). It is read from the service's submit path,
+	// hence the mutex.
+	holdMu sync.Mutex
+	hold   chan struct{}
 }
 
 func newTestBackend(t *testing.T, persist bool, engOpts campaign.Options) *testBackend {
@@ -100,7 +107,7 @@ func (tb *testBackend) boot(engOpts campaign.Options) {
 		tb.st = st
 		engOpts.Checkpoints = st
 	}
-	srv := service.NewServer(service.Config{Workers: 2, QueueDepth: 32, CacheSize: 256, Store: tb.st})
+	srv := service.NewServer(service.Config{Workers: 2, QueueDepth: 32, CacheSize: 256, Store: tb.st, Resolver: tb.resolve})
 	srv.Start()
 	eng := campaign.NewEngine(srv, engOpts)
 	mux := http.NewServeMux()
@@ -108,6 +115,40 @@ func (tb *testBackend) boot(engOpts campaign.Options) {
 	eng.Register(mux)
 	tb.srv, tb.eng = srv, eng
 	tb.swap.set(mux)
+}
+
+// resolve parks a submission while the backend is held, then defers to
+// the built-in resolver (a nil specimen means "not mine").
+func (tb *testBackend) resolve(service.SubmitRequest) (*malware.Specimen, string, error) {
+	tb.holdMu.Lock()
+	hold := tb.hold
+	tb.holdMu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	return nil, "", nil
+}
+
+// holdSubmissions parks the backend's submissions — so no cell runs —
+// until the returned release is called. Release is idempotent and also
+// runs at test cleanup, so a failing test never leaves a submitter
+// parked.
+func (tb *testBackend) holdSubmissions() (release func()) {
+	hold := make(chan struct{})
+	tb.holdMu.Lock()
+	tb.hold = hold
+	tb.holdMu.Unlock()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			tb.holdMu.Lock()
+			tb.hold = nil
+			tb.holdMu.Unlock()
+			close(hold)
+		})
+	}
+	tb.t.Cleanup(release)
+	return release
 }
 
 // stop gracefully drains the current incarnation (campaigns abort and

@@ -190,15 +190,17 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 
 // appendTargetOutsideLoop reports whether the append assignment grows a
 // variable declared outside the range statement — accumulation that
-// escapes the loop in iteration order.
+// escapes the loop in iteration order. The target may be the variable
+// itself (`out = append(out, …)`) or a field selected from it
+// (`res.Entries = append(res.Entries, …)`).
 func appendTargetOutsideLoop(pass *Pass, assign *ast.AssignStmt, rng *ast.RangeStmt) bool {
 	for _, lhs := range assign.Lhs {
-		ident, ok := lhs.(*ast.Ident)
-		if !ok {
+		ident := selectorRoot(lhs)
+		if ident == nil {
 			continue
 		}
-		obj := pass.TypesInfo.ObjectOf(ident)
-		if obj == nil {
+		obj, ok := pass.TypesInfo.ObjectOf(ident).(*types.Var)
+		if !ok {
 			continue
 		}
 		if obj.Pos() < rng.Pos() || obj.Pos() > rng.End() {
@@ -206,6 +208,22 @@ func appendTargetOutsideLoop(pass *Pass, assign *ast.AssignStmt, rng *ast.RangeS
 		}
 	}
 	return false
+}
+
+// selectorRoot returns the identifier a (possibly empty) chain of field
+// selectors starts from — x for x, x.f and x.f.g — or nil for any other
+// expression.
+func selectorRoot(x ast.Expr) *ast.Ident {
+	for {
+		switch e := x.(type) {
+		case *ast.Ident:
+			return e
+		case *ast.SelectorExpr:
+			x = e.X
+		default:
+			return nil
+		}
+	}
 }
 
 // isOrderedSink reports whether the call writes to an ordered output

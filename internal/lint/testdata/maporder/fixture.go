@@ -27,6 +27,31 @@ func Keys(m map[string]bool) []string {
 	return out
 }
 
+// bundle is a result with a slice field, like winapi.Result's Entries.
+type bundle struct{ names []string }
+
+// Fill appends to a field of a value declared outside the loop, in
+// iteration order: flagged.
+func Fill(m map[string]int) bundle {
+	var b bundle
+	for k := range m { // want `iteration order of m flows into ordered output`
+		b.names = append(b.names, k)
+	}
+	return b
+}
+
+// CountLocal appends only to a field of a loop-local value, which never
+// leaves the iteration: clean.
+func CountLocal(m map[string]int) int {
+	n := 0
+	for k := range m {
+		var b bundle
+		b.names = append(b.names, k)
+		n += len(b.names)
+	}
+	return n
+}
+
 // SortedKeys is the sanctioned collect-sort-iterate idiom: clean.
 func SortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))

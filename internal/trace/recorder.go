@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Recorder accumulates kernel events for one machine execution. It is safe
 // for concurrent use, though the deterministic scheduler drives it from a
@@ -13,8 +10,9 @@ type Recorder struct {
 	events []Event
 	// tap, when non-nil, observes every event synchronously as it is
 	// recorded — the real-time deterrence tier's live view of the trace
-	// (post-run consumers keep using Events/Filter). The tap runs under
-	// the recorder's mutex and must not call back into the recorder.
+	// (post-run consumers use SummarizeWhere, Events or Filter). The tap
+	// runs under the recorder's mutex and must not call back into the
+	// recorder.
 	tap func(Event)
 }
 
@@ -33,7 +31,7 @@ func NewRecorder() *Recorder {
 
 // Release clears the recorder and returns it to the package pool. The
 // caller must not touch the recorder afterwards — slices previously
-// obtained from Events, Filter, or ByKind remain valid (they are copies),
+// obtained from Events or Filter remain valid (they are copies),
 // but the recorder itself will be reused by a future NewRecorder call.
 func (r *Recorder) Release() {
 	r.mu.Lock()
@@ -118,17 +116,18 @@ func (r *Recorder) Filter(pred func(Event) bool) []Event {
 	return out
 }
 
-// ByKind returns the recorded events of the given kind.
-func (r *Recorder) ByKind(k Kind) []Event {
-	return r.Filter(func(e Event) bool { return e.Kind == k })
-}
-
-// ByPID returns the recorded events attributed to the given process.
-func (r *Recorder) ByPID(pid int) []Event {
-	return r.Filter(func(e Event) bool { return e.PID == pid })
-}
-
-// Since returns the events recorded at or after the given virtual time.
-func (r *Recorder) Since(t time.Duration) []Event {
-	return r.Filter(func(e Event) bool { return e.Time >= t })
+// SummarizeWhere folds the recorded events matching pred into a Summary
+// under the recorder's lock. It equals Summarize(r.Filter(pred)) without
+// copying a single event: the verdict path summarises the sample's
+// subtree this way, straight off the recorder's own slice.
+func (r *Recorder) SummarizeWhere(pred func(Event) bool) Summary {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := newSummary()
+	for i := range r.events {
+		if pred(r.events[i]) {
+			s.add(&r.events[i])
+		}
+	}
+	return s
 }

@@ -19,14 +19,14 @@ func TestRecorderBasics(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if got := len(r.ByKind(KindFileWrite)); got != 1 {
-		t.Errorf("ByKind = %d", got)
+	if got := len(r.Filter(func(e Event) bool { return e.Kind == KindFileWrite })); got != 1 {
+		t.Errorf("Filter by kind = %d", got)
 	}
-	if got := len(r.ByPID(100)); got != 2 {
-		t.Errorf("ByPID = %d", got)
+	if got := len(r.Filter(func(e Event) bool { return e.PID == 100 })); got != 2 {
+		t.Errorf("Filter by PID = %d", got)
 	}
-	if got := len(r.Since(time.Second)); got != 1 {
-		t.Errorf("Since = %d", got)
+	if got := len(r.Filter(func(e Event) bool { return e.Time >= time.Second })); got != 1 {
+		t.Errorf("Filter by time = %d", got)
 	}
 	events := r.Events()
 	events[0].PID = 999 // mutation must not leak back

@@ -10,39 +10,38 @@ import (
 // the single most common evasion probe in the paper's corpus (815 of the
 // 823 self-spawning MalGene samples call it).
 func (c *Context) IsDebuggerPresent() bool {
-	res := c.invoke("IsDebuggerPresent", nil, func() any {
+	res := c.invoke("IsDebuggerPresent", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Bool: c.P.PEB.BeingDebugged}
 	})
-	return res.(Result).Bool
+	return res.Bool
 }
 
 // CheckRemoteDebuggerPresent asks the kernel whether a debugger is attached
 // to the process.
 func (c *Context) CheckRemoteDebuggerPresent() bool {
-	res := c.invoke("CheckRemoteDebuggerPresent", nil, func() any {
+	res := c.invoke("CheckRemoteDebuggerPresent", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Bool: c.M.DebuggerAttachedPIDs[c.P.PID]}
 	})
-	return res.(Result).Bool
+	return res.Bool
 }
 
 // QueryDebugPort is NtQueryInformationProcess(ProcessDebugPort): non-zero
 // when a debugger is attached.
 func (c *Context) QueryDebugPort() (uint64, Status) {
-	res := c.invoke("NtQueryInformationProcess", []any{"ProcessDebugPort"}, func() any {
+	r := c.invoke("NtQueryInformationProcess", []any{"ProcessDebugPort"}, func(c *Context) Result {
 		var port uint64
 		if c.M.DebuggerAttachedPIDs[c.P.PID] {
 			port = 0xdeb9
 		}
 		return Result{Status: StatusSuccess, Num: port}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }
 
 // OutputDebugString emits a debug string; under a real debugger the call
 // behaves differently, but no evaluated profile attaches one.
 func (c *Context) OutputDebugString(s string) {
-	c.invoke("OutputDebugString", []any{s}, func() any {
+	c.invoke("OutputDebugString", []any{s}, func(c *Context) Result {
 		return Result{Status: StatusSuccess}
 	})
 }
@@ -51,19 +50,19 @@ func (c *Context) OutputDebugString(s string) {
 // sandbox tell (machines reset before every sample); Scarecrow's hook
 // returns deceptively small values (Table I: sample ad0d7d0's trigger).
 func (c *Context) GetTickCount() uint64 {
-	res := c.invoke("GetTickCount", nil, func() any {
+	res := c.invoke("GetTickCount", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Num: c.M.Clock.TickCount()}
 	})
-	return res.(Result).Num
+	return res.Num
 }
 
 // QueryPerformanceCounter returns a high-resolution timestamp in virtual
 // nanoseconds.
 func (c *Context) QueryPerformanceCounter() uint64 {
-	res := c.invoke("QueryPerformanceCounter", nil, func() any {
+	res := c.invoke("QueryPerformanceCounter", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Num: uint64(c.M.Clock.Uptime())}
 	})
-	return res.(Result).Num
+	return res.Num
 }
 
 // RDTSC executes the rdtsc instruction. It is not an API call: it cannot
@@ -81,7 +80,7 @@ func (c *Context) CPUID() winsim.CPUIDResult {
 // SetUnhandledExceptionFilter registers an exception filter; modeled as a
 // timing-relevant no-op.
 func (c *Context) SetUnhandledExceptionFilter() {
-	c.invoke("SetUnhandledExceptionFilter", nil, func() any {
+	c.invoke("SetUnhandledExceptionFilter", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess}
 	})
 }
@@ -92,7 +91,7 @@ func (c *Context) SetUnhandledExceptionFilter() {
 // of the paper has Scarecrow inject a deceptive discrepancy here.
 func (c *Context) RaiseException() time.Duration {
 	start := c.M.Clock.Now()
-	c.invoke("RaiseException", nil, func() any {
+	c.invoke("RaiseException", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess}
 	})
 	return c.M.Clock.Now() - start
@@ -114,7 +113,7 @@ func (c *Context) ReadPEB() winsim.PEB {
 // way.
 func (c *Context) DirectSyscall(name string, args ...any) any {
 	c.M.Clock.Advance(directSyscallCost)
-	genuine := func() any {
+	genuine := func(c *Context) Result {
 		switch name {
 		case "NtOpenKeyEx":
 			if c.M.Registry.KeyExists(str(args, 0)) {
@@ -132,10 +131,7 @@ func (c *Context) DirectSyscall(name string, args ...any) any {
 			return Result{Status: StatusNotSupported}
 		}
 	}
-	res, ok := c.dispatchSyscall(name, args, genuine).(Result)
-	if !ok {
-		return StatusInvalidParam
-	}
+	res := c.dispatchSyscall(name, args, genuine)
 	switch name {
 	case "NtQuerySystemInformation":
 		return res.Num

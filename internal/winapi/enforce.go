@@ -65,17 +65,16 @@ var networkAPIs = map[string]bool{
 	"connect":         true,
 }
 
-// applyEnforcement consults the system's enforcer (if any) before an API
-// call executes. It returns (result, true) when the call must not run —
-// an isolated process's denied network call — and unwinds the program
-// body entirely for a kill (the scheduler's exitPanic channel, the same
-// one ExitProcess uses). Throttles charge their delay and let the call
-// proceed; the charge may itself raise winsim.BudgetExceeded, which the
-// scheduler recovers as the window closing on the throttled payload.
-func (c *Context) applyEnforcement(name string) (any, bool) {
-	if c.sys.Enforcer == nil {
-		return nil, false
-	}
+// applyEnforcement consults the system's enforcer before an API call
+// executes. It reports true when the call must not run — an isolated
+// process's network call, which the caller denies with access denied —
+// and unwinds the program body entirely for a kill (the scheduler's
+// exitPanic channel, the same one ExitProcess uses). Throttles charge
+// their delay and let the call proceed; the charge may itself raise
+// winsim.BudgetExceeded, which the scheduler recovers as the window
+// closing on the throttled payload. The caller checks for a nil Enforcer
+// first, so unmonitored runs pay nothing here.
+func (c *Context) applyEnforcement(name string) bool {
 	enf := c.sys.Enforcer(c.P.PID, name)
 	switch enf.Action {
 	case EnforceKill:
@@ -89,9 +88,7 @@ func (c *Context) applyEnforcement(name string) (any, bool) {
 			c.M.Clock.Advance(enf.Delay)
 		}
 	case EnforceIsolate:
-		if networkAPIs[name] {
-			return Result{Status: StatusAccessDenied}, true
-		}
+		return networkAPIs[name]
 	}
-	return nil, false
+	return false
 }

@@ -22,7 +22,7 @@ type VolumeInfo struct {
 // CreateFile opens an existing file or device. Opening device objects such
 // as \\.\VBoxGuest is a standard VM-guest probe.
 func (c *Context) CreateFile(path string) Status {
-	res := c.invoke("CreateFile", []any{path}, func() any {
+	res := c.invoke("CreateFile", []any{path}, func(c *Context) Result {
 		_, ok := c.M.FS.Stat(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
@@ -33,13 +33,13 @@ func (c *Context) CreateFile(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // NtCreateFile is the native-layer open (Table III lists it for the
 // missing-DLL wear-and-tear artifact).
 func (c *Context) NtCreateFile(path string) Status {
-	res := c.invoke("NtCreateFile", []any{path}, func() any {
+	res := c.invoke("NtCreateFile", []any{path}, func(c *Context) Result {
 		_, ok := c.M.FS.Stat(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
@@ -50,14 +50,14 @@ func (c *Context) NtCreateFile(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // NtQueryAttributesFile probes file existence without opening it — the
 // system call Table I's sample 9437eab uses against vmmouse.sys and
 // friends.
 func (c *Context) NtQueryAttributesFile(path string) (winsim.FileInfo, Status) {
-	res := c.invoke("NtQueryAttributesFile", []any{path}, func() any {
+	r := c.invoke("NtQueryAttributesFile", []any{path}, func(c *Context) Result {
 		info, ok := c.M.FS.Stat(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
@@ -68,13 +68,12 @@ func (c *Context) NtQueryAttributesFile(path string) (winsim.FileInfo, Status) {
 		}
 		return Result{Status: StatusSuccess, FileInfo: info}
 	})
-	r := res.(Result)
 	return r.FileInfo, r.Status
 }
 
 // GetFileAttributes is the Win32-layer existence/metadata probe.
 func (c *Context) GetFileAttributes(path string) (winsim.FileInfo, Status) {
-	res := c.invoke("GetFileAttributes", []any{path}, func() any {
+	r := c.invoke("GetFileAttributes", []any{path}, func(c *Context) Result {
 		info, ok := c.M.FS.Stat(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileQuery, PID: c.P.PID, Image: c.P.Image,
@@ -85,13 +84,12 @@ func (c *Context) GetFileAttributes(path string) (winsim.FileInfo, Status) {
 		}
 		return Result{Status: StatusSuccess, FileInfo: info}
 	})
-	r := res.(Result)
 	return r.FileInfo, r.Status
 }
 
 // WriteFile creates or replaces a file with data.
 func (c *Context) WriteFile(path string, data []byte) Status {
-	res := c.invoke("WriteFile", []any{path, data}, func() any {
+	res := c.invoke("WriteFile", []any{path, data}, func(c *Context) Result {
 		err := c.M.FS.WriteFile(path, data)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileWrite, PID: c.P.PID, Image: c.P.Image,
@@ -102,12 +100,12 @@ func (c *Context) WriteFile(path string, data []byte) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // ReadFile returns a file's contents.
 func (c *Context) ReadFile(path string) ([]byte, Status) {
-	res := c.invoke("ReadFile", []any{path}, func() any {
+	r := c.invoke("ReadFile", []any{path}, func(c *Context) Result {
 		data, ok := c.M.FS.ReadFile(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileRead, PID: c.P.PID, Image: c.P.Image,
@@ -118,13 +116,12 @@ func (c *Context) ReadFile(path string) ([]byte, Status) {
 		}
 		return Result{Status: StatusSuccess, Data: data}
 	})
-	r := res.(Result)
 	return r.Data, r.Status
 }
 
 // DeleteFile removes a file.
 func (c *Context) DeleteFile(path string) Status {
-	res := c.invoke("DeleteFile", []any{path}, func() any {
+	res := c.invoke("DeleteFile", []any{path}, func(c *Context) Result {
 		ok := c.M.FS.Delete(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindFileDelete, PID: c.P.PID, Image: c.P.Image,
@@ -135,7 +132,7 @@ func (c *Context) DeleteFile(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // FindFirstFile lists the entries of a directory matching a wildcard
@@ -143,7 +140,7 @@ func (c *Context) DeleteFile(path string) Status {
 // The final path component may use "*" and "?" wildcards, as on Windows:
 // "C:\dir\*", "C:\dir\*.docx", "C:\dir\report?.xls".
 func (c *Context) FindFirstFile(pattern string) ([]string, Status) {
-	res := c.invoke("FindFirstFile", []any{pattern}, func() any {
+	r := c.invoke("FindFirstFile", []any{pattern}, func(c *Context) Result {
 		dir, leaf := splitPattern(pattern)
 		var names []string
 		for _, name := range c.M.FS.List(dir) {
@@ -160,7 +157,6 @@ func (c *Context) FindFirstFile(pattern string) ([]string, Status) {
 		}
 		return Result{Status: StatusSuccess, Strs: names}
 	})
-	r := res.(Result)
 	return r.Strs, r.Status
 }
 
@@ -216,7 +212,7 @@ func matchFold(p, s string) bool {
 // GetDiskFreeSpaceEx reports the capacity of the volume owning path.
 // Implausibly small disks are a classic sandbox tell (Malwr's 5 GB C:).
 func (c *Context) GetDiskFreeSpaceEx(path string) (DiskSpace, Status) {
-	res := c.invoke("GetDiskFreeSpaceEx", []any{path}, func() any {
+	r := c.invoke("GetDiskFreeSpaceEx", []any{path}, func(c *Context) Result {
 		v := c.M.FS.VolumeFor(path)
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
@@ -225,13 +221,12 @@ func (c *Context) GetDiskFreeSpaceEx(path string) (DiskSpace, Status) {
 			TotalBytes: v.TotalBytes, FreeBytes: v.FreeBytes,
 		}}
 	})
-	r := res.(Result)
 	return r.Disk, r.Status
 }
 
 // GetVolumeInformation returns the volume serial and filesystem name.
 func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
-	res := c.invoke("GetVolumeInformation", []any{path}, func() any {
+	r := c.invoke("GetVolumeInformation", []any{path}, func(c *Context) Result {
 		v := c.M.FS.VolumeFor(path)
 		if v == nil {
 			return Result{Status: StatusInvalidParam}
@@ -240,7 +235,6 @@ func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
 			SerialNumber: v.SerialNumber, FileSystem: "NTFS",
 		}}
 	})
-	r := res.(Result)
 	return r.Vol, r.Status
 }
 
@@ -248,12 +242,11 @@ func (c *Context) GetVolumeInformation(path string) (VolumeInfo, Status) {
 // disks.
 func (c *Context) GetDriveType(path string) (uint64, Status) {
 	const driveFixed = 3
-	res := c.invoke("GetDriveType", []any{path}, func() any {
+	r := c.invoke("GetDriveType", []any{path}, func(c *Context) Result {
 		if c.M.FS.VolumeFor(path) == nil {
 			return Result{Status: StatusInvalidParam}
 		}
 		return Result{Status: StatusSuccess, Num: driveFixed}
 	})
-	r := res.(Result)
 	return r.Num, r.Status
 }

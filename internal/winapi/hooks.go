@@ -3,14 +3,17 @@ package winapi
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // HookHandler is customized code interposed on an API function. It receives
 // the call description and must return the API's result bundle. Handlers
 // may inspect and rewrite arguments, fabricate results, or call
 // call.Original() to invoke the next handler in the chain (ultimately the
-// real function) — the trampoline of classic inline hooking.
-type HookHandler func(c *Context, call *Call) any
+// real function) — the trampoline of classic inline hooking. Results travel
+// by value: a hooked call boxes nothing. The Call is recycled once the
+// outermost handler returns, so a handler must not retain it.
+type HookHandler func(c *Context, call *Call) Result
 
 // HookTable is a prebuilt, shareable set of hook chains: the in-memory
 // image of an injected DLL's patch set. A deployment builds its table once
@@ -52,7 +55,8 @@ func (t *HookTable) hook(api string, handler HookHandler) {
 // Call describes one in-flight API invocation as seen by a hook handler.
 // Dispatch is by index into the process's combined hook chain (kernel
 // chain below, user chain above), so one Call value serves the whole
-// chain with no per-handler trampoline closures.
+// chain with no per-handler trampoline closures. Calls come from the
+// System's free list (see newCall).
 type Call struct {
 	// Name is the API name from the catalog.
 	Name string
@@ -62,23 +66,20 @@ type Call struct {
 	c       *Context
 	st      *procState // user-mode chain source; nil for pure kernel dispatch
 	kchain  []HookHandler
-	genuine func() any
+	genuine func(*Context) Result
 	idx     int // combined-chain index of the running handler
 }
 
 // Original invokes the rest of the hook chain and finally the genuine API,
 // returning its result bundle. Calling it more than once re-executes the
 // remainder of the chain.
-func (call *Call) Original() any { return call.run(call.idx - 1) }
+func (call *Call) Original() Result { return call.run(call.idx - 1) }
 
 // run executes combined-chain position i: a handler for i >= 0, the
 // genuine implementation below the chain for i < 0.
-func (call *Call) run(i int) any {
+func (call *Call) run(i int) Result {
 	if i < 0 {
-		if call.genuine == nil {
-			return nil
-		}
-		return call.genuine()
+		return call.genuine(call.c)
 	}
 	h := call.handler(i)
 	saved := call.idx
@@ -96,7 +97,42 @@ func (call *Call) handler(i int) HookHandler {
 	if i < len(call.kchain) {
 		return call.kchain[i]
 	}
-	return call.st.handlerAt(call.Name, i-len(call.kchain))
+	h, _ := call.st.handlerAt(call.Name, i-len(call.kchain))
+	return h
+}
+
+// AttachedAt returns the virtual time at which the hook table holding the
+// running handler was attached to the calling process — the injection
+// moment of the DLL the handler belongs to. It is zero for kernel hooks
+// and per-process installs.
+func (call *Call) AttachedAt() time.Duration {
+	i := call.idx - len(call.kchain)
+	if i < 0 {
+		return 0
+	}
+	_, at := call.st.handlerAt(call.Name, i)
+	return at
+}
+
+// newCall takes a Call from the system's free list. The scheduler runs one
+// API call at a time per System, and nesting (a handler issuing another
+// API) pops a distinct Call, so a list of a few entries serves a whole run.
+// A Call lost to a panic unwinding its handler is simply left to the
+// garbage collector.
+func (s *System) newCall() *Call {
+	if n := len(s.calls); n > 0 {
+		call := s.calls[n-1]
+		s.calls = s.calls[:n-1]
+		return call
+	}
+	return new(Call)
+}
+
+// freeCall clears a finished Call (dropping its references) and returns it
+// to the free list.
+func (s *System) freeCall(call *Call) {
+	*call = Call{}
+	s.calls = append(s.calls, call)
 }
 
 // Arg returns argument i, or nil when absent.
@@ -141,42 +177,62 @@ var prologueCache = func() map[string][]byte {
 	return m
 }()
 
-// procState is the per-process user-mode state the System tracks: attached
-// hook tables, per-process hook chains, and arbitrary per-process data
-// hook packages stash (e.g. a deception session). Maps are allocated
-// lazily; a process that is never hooked costs one small struct.
+// attachedTable is one hook table attached to a process, with the virtual
+// time of the attach.
+type attachedTable struct {
+	t  *HookTable
+	at time.Duration
+}
+
+// procState is the per-process user-mode state the System tracks: the
+// process's API context, attached hook tables, per-process hook chains,
+// and arbitrary per-process data hook packages stash (e.g. a deception
+// session). Maps are allocated lazily, and the first two table attaches
+// (the environment monitor and one injected DLL) fill an inline slot, so
+// a followed child costs this one struct.
 type procState struct {
+	// ctx is the context the process's body runs with; runOne fills it.
+	ctx Context
 	// tables are shared hook tables in attach order; their chains sit
 	// below (run after) any per-process installs.
-	tables []*HookTable
+	tables    []attachedTable
+	tablesBuf [2]attachedTable
 	// local holds per-process InstallHook chains.
 	local map[string][]HookHandler
 	// Data lets hook packages (Scarecrow) keep per-process state.
 	Data map[string]any
 }
 
-func newProcState() *procState { return &procState{} }
+// attach appends a hook table to the process's chain.
+func (st *procState) attach(t *HookTable, at time.Duration) {
+	if st.tables == nil {
+		st.tables = st.tablesBuf[:0]
+	}
+	st.tables = append(st.tables, attachedTable{t: t, at: at})
+}
 
 // chainLen returns the combined user-mode chain length for the API.
 func (st *procState) chainLen(api string) int {
 	n := len(st.local[api])
-	for _, t := range st.tables {
-		n += len(t.handlers[api])
+	for _, a := range st.tables {
+		n += len(a.t.handlers[api])
 	}
 	return n
 }
 
 // handlerAt resolves user-chain position i in install order: attached
 // tables first (attach order, each in table order), then local installs.
-func (st *procState) handlerAt(api string, i int) HookHandler {
-	for _, t := range st.tables {
-		chain := t.handlers[api]
+// It also returns the attach time of the table holding the handler (zero
+// for local installs).
+func (st *procState) handlerAt(api string, i int) (HookHandler, time.Duration) {
+	for _, a := range st.tables {
+		chain := a.t.handlers[api]
 		if i < len(chain) {
-			return chain[i]
+			return chain[i], a.at
 		}
 		i -= len(chain)
 	}
-	return st.local[api][i]
+	return st.local[api][i], 0
 }
 
 // hooked reports whether any user-mode hook covers the API.
@@ -184,8 +240,8 @@ func (st *procState) hooked(api string) bool {
 	if len(st.local[api]) > 0 {
 		return true
 	}
-	for _, t := range st.tables {
-		if len(t.handlers[api]) > 0 {
+	for _, a := range st.tables {
+		if len(a.t.handlers[api]) > 0 {
 			return true
 		}
 	}
@@ -224,8 +280,7 @@ func (s *System) InstallHookTable(pid int, t *HookTable) error {
 	if s.M.Faults.InjectionFault() {
 		return fmt.Errorf("winapi: injected fault: hook table installation failed in PID %d", pid)
 	}
-	st := s.stateFor(pid)
-	st.tables = append(st.tables, t)
+	s.stateFor(pid).attach(t, s.M.Clock.Now())
 	return nil
 }
 
@@ -239,8 +294,8 @@ func (s *System) HookedAPIs(pid int) []string {
 			seen[name] = true
 		}
 	}
-	for _, t := range st.tables {
-		for name, chain := range t.handlers {
+	for _, a := range st.tables {
+		for name, chain := range a.t.handlers {
 			if len(chain) > 0 {
 				seen[name] = true
 			}
@@ -260,9 +315,8 @@ func (s *System) HookedAPIs(pid int) []string {
 // detects inline hooks.
 func (c *Context) ReadFunctionPrologue(api string) []byte {
 	c.M.Clock.Advance(memoryReadCost)
-	st := c.sys.stateFor(c.P.PID)
 	src := cleanPrologue
-	if st.hooked(api) {
+	if c.state().hooked(api) {
 		if b, ok := prologueCache[api]; ok {
 			src = b
 		} else {
@@ -279,15 +333,17 @@ func (c *Context) ReadFunctionPrologue(api string) []byte {
 // from Figure 1 of the paper.
 func (c *Context) PrologueIntact(api string) bool {
 	c.M.Clock.Advance(memoryReadCost)
-	return !c.sys.stateFor(c.P.PID).hooked(api)
+	return !c.state().hooked(api)
 }
 
 // invoke runs one API call: it charges the call cost, records the APICall
 // trace event, then dispatches through the process's hook chain (outermost
 // handler first) down to the genuine implementation. Native entry points
 // bottom out at the kernel syscall gate, where machine-wide kernel hooks
-// (if any) interpose beneath the user-mode chain.
-func (c *Context) invoke(name string, args []any, genuine func() any) any {
+// (if any) interpose beneath the user-mode chain. genuine receives the
+// calling context, so an implementation that reads nothing else captures
+// nothing and its closure costs no allocation.
+func (c *Context) invoke(name string, args []any, genuine func(*Context) Result) Result {
 	meta, ok := apiCatalog[name]
 	if !ok {
 		panic(fmt.Sprintf("winapi: API %q missing from catalog", name))
@@ -295,15 +351,15 @@ func (c *Context) invoke(name string, args []any, genuine func() any) any {
 	// Real-time enforcement happens before the call executes: a killed
 	// process never reaches its next API, an isolated one has network
 	// calls denied here, a throttled one pays injected delay first.
-	if out, blocked := c.applyEnforcement(name); blocked {
+	if c.sys.Enforcer != nil && c.applyEnforcement(name) {
 		c.M.Clock.Advance(meta.cost)
 		c.recordAPICall(name)
-		return out
+		return Result{Status: StatusAccessDenied}
 	}
 	c.M.Clock.Advance(meta.cost)
 	c.recordAPICall(name)
 
-	st := c.sys.stateFor(c.P.PID)
+	st := c.state()
 	userLen := st.chainLen(name)
 	var kchain []HookHandler
 	if kernelHookable(name) {
@@ -311,8 +367,11 @@ func (c *Context) invoke(name string, args []any, genuine func() any) any {
 	}
 	total := len(kchain) + userLen
 	if total == 0 {
-		return genuine()
+		return genuine(c)
 	}
-	call := &Call{Name: name, Args: args, c: c, st: st, kchain: kchain, genuine: genuine, idx: total}
-	return call.run(total - 1)
+	call := c.sys.newCall()
+	*call = Call{Name: name, Args: args, c: c, st: st, kchain: kchain, genuine: genuine, idx: total}
+	out := call.run(total - 1)
+	c.sys.freeCall(call)
+	return out
 }

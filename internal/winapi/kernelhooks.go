@@ -61,11 +61,14 @@ func (s *System) KernelHookedAPIs() []string {
 // dispatchSyscall runs the kernel hook chain for a system call, bottoming
 // out at the genuine kernel implementation. It is the single gate both
 // ntdll-routed calls and raw syscall stubs pass through.
-func (c *Context) dispatchSyscall(name string, args []any, genuine func() any) any {
+func (c *Context) dispatchSyscall(name string, args []any, genuine func(*Context) Result) Result {
 	chain := c.sys.kernelHooks[name]
 	if len(chain) == 0 {
-		return genuine()
+		return genuine(c)
 	}
-	call := &Call{Name: name, Args: args, c: c, kchain: chain, genuine: genuine, idx: len(chain)}
-	return call.run(len(chain) - 1)
+	call := c.sys.newCall()
+	*call = Call{Name: name, Args: args, c: c, kchain: chain, genuine: genuine, idx: len(chain)}
+	out := call.run(len(chain) - 1)
+	c.sys.freeCall(call)
+	return out
 }

@@ -8,20 +8,18 @@ import (
 // Whether non-existent domains resolve is the environment signal WannaCry's
 // kill switch keys on: sinkholing sandboxes answer, real networks do not.
 func (c *Context) DnsQuery(domain string) (string, Status) {
-	res := c.invoke("DnsQuery", []any{domain}, func() any {
+	r := c.invoke("DnsQuery", []any{domain}, func(c *Context) Result {
 		return c.genuineResolve(domain)
 	})
-	r := res.(Result)
 	return r.Str, r.Status
 }
 
 // Getaddrinfo is the socket-layer resolution path; same semantics as
 // DnsQuery, separately hookable.
 func (c *Context) Getaddrinfo(domain string) (string, Status) {
-	res := c.invoke("getaddrinfo", []any{domain}, func() any {
+	r := c.invoke("getaddrinfo", []any{domain}, func(c *Context) Result {
 		return c.genuineResolve(domain)
 	})
-	r := res.(Result)
 	return r.Str, r.Status
 }
 
@@ -40,7 +38,7 @@ func (c *Context) genuineResolve(domain string) Result {
 // InternetOpenUrl performs an HTTP GET against a resolved address,
 // returning 200 when something answers.
 func (c *Context) InternetOpenUrl(addr string) (int, Status) {
-	res := c.invoke("InternetOpenUrl", []any{addr}, func() any {
+	r := c.invoke("InternetOpenUrl", []any{addr}, func(c *Context) Result {
 		ok := c.M.Net.HTTPGet(addr)
 		c.M.Record(trace.Event{
 			Kind: trace.KindHTTPRequest, PID: c.P.PID, Image: c.P.Image,
@@ -51,13 +49,12 @@ func (c *Context) InternetOpenUrl(addr string) (int, Status) {
 		}
 		return Result{Status: StatusSuccess, Code: 200}
 	})
-	r := res.(Result)
 	return r.Code, r.Status
 }
 
 // Connect opens a TCP connection to an address.
 func (c *Context) Connect(addr string) Status {
-	res := c.invoke("connect", []any{addr}, func() any {
+	res := c.invoke("connect", []any{addr}, func(c *Context) Result {
 		ok := c.M.Net.HTTPGet(addr)
 		c.M.Record(trace.Event{
 			Kind: trace.KindTCPConnect, PID: c.P.PID, Image: c.P.Image,
@@ -68,5 +65,5 @@ func (c *Context) Connect(addr string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }

@@ -18,11 +18,10 @@ type ProcessEntry struct {
 // queued on the scheduler and runs after the current body yields. The
 // returned process handle is the child's kernel object.
 func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status) {
-	res := c.invoke("CreateProcess", []any{image, cmdline}, func() any {
+	r := c.invoke("CreateProcess", []any{image, cmdline}, func(c *Context) Result {
 		child := c.sys.Launch(image, cmdline, c.P)
 		return Result{Status: StatusSuccess, Proc: child}
 	})
-	r := res.(Result)
 	return r.Proc, r.Status
 }
 
@@ -30,17 +29,16 @@ func (c *Context) CreateProcess(image, cmdline string) (*winsim.Process, Status)
 // identical to CreateProcess here, but a separate hookable entry point
 // (stock Cuckoo hooks it — Table II's lone Hook trigger without Scarecrow).
 func (c *Context) ShellExecuteExW(image, cmdline string) (*winsim.Process, Status) {
-	res := c.invoke("ShellExecuteExW", []any{image, cmdline}, func() any {
+	r := c.invoke("ShellExecuteExW", []any{image, cmdline}, func(c *Context) Result {
 		child := c.sys.Launch(image, cmdline, c.P)
 		return Result{Status: StatusSuccess, Proc: child}
 	})
-	r := res.(Result)
 	return r.Proc, r.Status
 }
 
 // ExitProcess terminates the calling process; it does not return.
 func (c *Context) ExitProcess(code int) {
-	c.invoke("ExitProcess", []any{code}, func() any {
+	c.invoke("ExitProcess", []any{code}, func(c *Context) Result {
 		panic(exitPanic{code: code})
 	})
 	panic(exitPanic{code: code}) // a hook swallowed the exit; force it anyway
@@ -50,7 +48,7 @@ func (c *Context) ExitProcess(code int) {
 // deceptive analysis-tool processes Scarecrow plants) refuse termination
 // with access denied, as §II-B(b) of the paper requires.
 func (c *Context) TerminateProcess(pid int) Status {
-	res := c.invoke("TerminateProcess", []any{pid}, func() any {
+	res := c.invoke("TerminateProcess", []any{pid}, func(c *Context) Result {
 		p, ok := c.M.Procs.Get(pid)
 		if !ok || p.State == winsim.ProcessExited {
 			return Result{Status: StatusInvalidParam}
@@ -61,12 +59,12 @@ func (c *Context) TerminateProcess(pid int) Status {
 		c.M.ExitProcess(p, 1)
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // OpenProcess opens a handle to a process, failing for protected targets.
 func (c *Context) OpenProcess(pid int) Status {
-	res := c.invoke("OpenProcess", []any{pid}, func() any {
+	res := c.invoke("OpenProcess", []any{pid}, func(c *Context) Result {
 		p, ok := c.M.Procs.Get(pid)
 		if !ok {
 			return Result{Status: StatusInvalidParam}
@@ -76,13 +74,13 @@ func (c *Context) OpenProcess(pid int) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // CreateToolhelp32Snapshot returns the process list (the
 // Process32First/Next sweep collapsed into one call).
 func (c *Context) CreateToolhelp32Snapshot() []ProcessEntry {
-	res := c.invoke("CreateToolhelp32Snapshot", nil, func() any {
+	res := c.invoke("CreateToolhelp32Snapshot", nil, func(c *Context) Result {
 		running := c.M.Procs.Running()
 		entries := make([]ProcessEntry, 0, len(running))
 		for _, p := range running {
@@ -92,49 +90,49 @@ func (c *Context) CreateToolhelp32Snapshot() []ProcessEntry {
 		}
 		return Result{Status: StatusSuccess, Entries: entries}
 	})
-	return res.(Result).Entries
+	return res.Entries
 }
 
 // GetCurrentProcessId returns the caller's PID.
 func (c *Context) GetCurrentProcessId() int {
-	c.invoke("GetCurrentProcessId", nil, func() any { return Result{Status: StatusSuccess} })
+	c.invoke("GetCurrentProcessId", nil, func(c *Context) Result { return Result{Status: StatusSuccess} })
 	return c.P.PID
 }
 
 // GetModuleFileName returns the full path of the process image.
 func (c *Context) GetModuleFileName() string {
-	res := c.invoke("GetModuleFileName", nil, func() any {
+	res := c.invoke("GetModuleFileName", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Str: c.P.Image}
 	})
-	return res.(Result).Str
+	return res.Str
 }
 
 // GetCommandLine returns the command line of the process.
 func (c *Context) GetCommandLine() string {
-	res := c.invoke("GetCommandLine", nil, func() any {
+	res := c.invoke("GetCommandLine", nil, func(c *Context) Result {
 		return Result{Status: StatusSuccess, Str: c.P.CommandLine}
 	})
-	return res.(Result).Str
+	return res.Str
 }
 
 // ParentProcessImage resolves the parent process's image base name via
 // NtQueryInformationProcess, the check malware uses to spot analysis
 // daemons as parents (the Scarecrow controller deliberately mimics this).
 func (c *Context) ParentProcessImage() string {
-	res := c.invoke("NtQueryInformationProcess", []any{"ParentProcess"}, func() any {
+	res := c.invoke("NtQueryInformationProcess", []any{"ParentProcess"}, func(c *Context) Result {
 		parent, ok := c.M.Procs.Get(c.P.ParentPID)
 		if !ok {
 			return Result{Status: StatusNotFound}
 		}
 		return Result{Status: StatusSuccess, Str: parent.ImageBase()}
 	})
-	return res.(Result).Str
+	return res.Str
 }
 
 // Sleep suspends the caller for the given duration of virtual time (scaled
 // by the machine's sleep factor).
 func (c *Context) Sleep(d time.Duration) {
-	c.invoke("Sleep", []any{d}, func() any {
+	c.invoke("Sleep", []any{d}, func(c *Context) Result {
 		c.M.Sleep(d)
 		return Result{Status: StatusSuccess}
 	})
@@ -145,14 +143,14 @@ func (c *Context) Sleep(d time.Duration) {
 // call models the polling wait malware droppers use, advancing time and
 // reporting whether the target has already exited.
 func (c *Context) WaitForSingleObject(p *winsim.Process, timeout time.Duration) Status {
-	res := c.invoke("WaitForSingleObject", []any{p, timeout}, func() any {
+	res := c.invoke("WaitForSingleObject", []any{p, timeout}, func(c *Context) Result {
 		if p != nil && p.State == winsim.ProcessExited {
 			return Result{Status: StatusSuccess}
 		}
 		c.M.Sleep(timeout)
 		return Result{Status: StatusTimeout}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // InjectIntoProcess models cross-process code injection (WriteProcessMemory

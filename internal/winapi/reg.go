@@ -17,7 +17,7 @@ type KeyInfo struct {
 // exists. This is the classic existence probe evasive malware uses against
 // keys such as SOFTWARE\Oracle\VirtualBox Guest Additions.
 func (c *Context) RegOpenKeyEx(path string) Status {
-	res := c.invoke("RegOpenKeyEx", []any{path}, func() any {
+	res := c.invoke("RegOpenKeyEx", []any{path}, func(c *Context) Result {
 		ok := c.M.Registry.KeyExists(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegOpenKey, PID: c.P.PID, Image: c.P.Image,
@@ -28,13 +28,13 @@ func (c *Context) RegOpenKeyEx(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // NtOpenKeyEx is the native-layer variant of RegOpenKeyEx. Scarecrow hooks
 // both layers (Table III lists NtOpenKeyEx among the wear-and-tear APIs).
 func (c *Context) NtOpenKeyEx(path string) Status {
-	res := c.invoke("NtOpenKeyEx", []any{path}, func() any {
+	res := c.invoke("NtOpenKeyEx", []any{path}, func(c *Context) Result {
 		ok := c.M.Registry.KeyExists(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegOpenKey, PID: c.P.PID, Image: c.P.Image,
@@ -45,24 +45,22 @@ func (c *Context) NtOpenKeyEx(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // RegQueryValueEx reads a value under a key.
 func (c *Context) RegQueryValueEx(path, name string) (winsim.Value, Status) {
-	res := c.invoke("RegQueryValueEx", []any{path, name}, func() any {
+	r := c.invoke("RegQueryValueEx", []any{path, name}, func(c *Context) Result {
 		return c.genuineQueryValue(path, name)
 	})
-	r := res.(Result)
 	return r.Value, r.Status
 }
 
 // NtQueryValueKey is the native-layer value read.
 func (c *Context) NtQueryValueKey(path, name string) (winsim.Value, Status) {
-	res := c.invoke("NtQueryValueKey", []any{path, name}, func() any {
+	r := c.invoke("NtQueryValueKey", []any{path, name}, func(c *Context) Result {
 		return c.genuineQueryValue(path, name)
 	})
-	r := res.(Result)
 	return r.Value, r.Status
 }
 
@@ -80,7 +78,7 @@ func (c *Context) genuineQueryValue(path, name string) Result {
 
 // NtQueryKey returns subkey/value counts for a key.
 func (c *Context) NtQueryKey(path string) (KeyInfo, Status) {
-	res := c.invoke("NtQueryKey", []any{path}, func() any {
+	r := c.invoke("NtQueryKey", []any{path}, func(c *Context) Result {
 		k, ok := c.M.Registry.OpenKey(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegQueryValue, PID: c.P.PID, Image: c.P.Image,
@@ -93,13 +91,12 @@ func (c *Context) NtQueryKey(path string) (KeyInfo, Status) {
 			SubkeyCount: k.SubkeyCount(), ValueCount: k.ValueCount(),
 		}}
 	})
-	r := res.(Result)
 	return r.KeyInfo, r.Status
 }
 
 // RegEnumKeyEx returns the name of the index-th subkey.
 func (c *Context) RegEnumKeyEx(path string, index int) (string, Status) {
-	res := c.invoke("RegEnumKeyEx", []any{path, index}, func() any {
+	r := c.invoke("RegEnumKeyEx", []any{path, index}, func(c *Context) Result {
 		k, ok := c.M.Registry.OpenKey(path)
 		if !ok {
 			return Result{Status: StatusFileNotFound}
@@ -114,13 +111,12 @@ func (c *Context) RegEnumKeyEx(path string, index int) (string, Status) {
 		}
 		return Result{Status: StatusSuccess, Str: names[index]}
 	})
-	r := res.(Result)
 	return r.Str, r.Status
 }
 
 // NtEnumerateKey is the native-layer subkey enumeration.
 func (c *Context) NtEnumerateKey(path string, index int) (string, Status) {
-	res := c.invoke("NtEnumerateKey", []any{path, index}, func() any {
+	r := c.invoke("NtEnumerateKey", []any{path, index}, func(c *Context) Result {
 		k, ok := c.M.Registry.OpenKey(path)
 		if !ok {
 			return Result{Status: StatusFileNotFound}
@@ -131,13 +127,12 @@ func (c *Context) NtEnumerateKey(path string, index int) (string, Status) {
 		}
 		return Result{Status: StatusSuccess, Str: names[index]}
 	})
-	r := res.(Result)
 	return r.Str, r.Status
 }
 
 // RegCreateKeyEx creates a key (and ancestors).
 func (c *Context) RegCreateKeyEx(path string) Status {
-	res := c.invoke("RegCreateKeyEx", []any{path}, func() any {
+	res := c.invoke("RegCreateKeyEx", []any{path}, func(c *Context) Result {
 		_, err := c.M.Registry.CreateKey(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegCreateKey, PID: c.P.PID, Image: c.P.Image,
@@ -148,12 +143,12 @@ func (c *Context) RegCreateKeyEx(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // RegSetValueEx writes a value, creating the key if needed.
 func (c *Context) RegSetValueEx(path, name string, v winsim.Value) Status {
-	res := c.invoke("RegSetValueEx", []any{path, name, v}, func() any {
+	res := c.invoke("RegSetValueEx", []any{path, name, v}, func(c *Context) Result {
 		err := c.M.Registry.SetValue(path, name, v)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegSetValue, PID: c.P.PID, Image: c.P.Image,
@@ -164,12 +159,12 @@ func (c *Context) RegSetValueEx(path, name string, v winsim.Value) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }
 
 // RegDeleteKey removes a key and its subtree.
 func (c *Context) RegDeleteKey(path string) Status {
-	res := c.invoke("RegDeleteKey", []any{path}, func() any {
+	res := c.invoke("RegDeleteKey", []any{path}, func(c *Context) Result {
 		ok := c.M.Registry.DeleteKey(path)
 		c.M.Record(trace.Event{
 			Kind: trace.KindRegDeleteKey, PID: c.P.PID, Image: c.P.Image,
@@ -180,5 +175,5 @@ func (c *Context) RegDeleteKey(path string) Status {
 		}
 		return Result{Status: StatusSuccess}
 	})
-	return res.(Result).Status
+	return res.Status
 }

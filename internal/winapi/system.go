@@ -30,6 +30,16 @@ type Context struct {
 	P *winsim.Process
 
 	sys *System
+	st  *procState // the process's hook state, resolved on first use
+}
+
+// state returns the calling process's hook state, caching it on the
+// context so the per-call path does no PID lookup.
+func (c *Context) state() *procState {
+	if c.st == nil {
+		c.st = c.sys.stateFor(c.P.PID)
+	}
+	return c.st
 }
 
 // System returns the owning System (used by deployment frameworks such as
@@ -43,11 +53,6 @@ func (c *Context) recordAPICall(name string) {
 	})
 }
 
-// queueEntry is one pending process execution.
-type queueEntry struct {
-	proc *winsim.Process
-}
-
 // System owns the user-mode world of one machine: registered program
 // images, per-process hook state, and the deterministic run queue.
 type System struct {
@@ -56,7 +61,16 @@ type System struct {
 
 	programs map[string]Program // normalized image path -> body
 	states   map[int]*procState
-	queue    []queueEntry
+	// queue holds pending processes from index head on; it rewinds to
+	// its start whenever it drains, so a spawn chain reuses one array.
+	queue []*winsim.Process
+	head  int
+	// calls is the free list of hook-dispatch Call values (hooks.go).
+	calls []*Call
+	// memo caches the most recent program lookup: a self-spawn loop runs
+	// one image hundreds of times, and the memo spares NormalizePath's
+	// lowercase copy on each. RegisterProgram invalidates it.
+	memo programMemo
 	// kernelHooks is the machine-wide syscall-gate hook table (see
 	// kernelhooks.go); nil until the first InstallKernelHook.
 	kernelHooks map[string][]HookHandler
@@ -87,7 +101,7 @@ type System struct {
 
 // monitorPassthrough is the body of every environment-monitor hook: the
 // sandbox's monitor observes, it does not rewrite.
-func monitorPassthrough(c *Context, call *Call) any { return call.Original() }
+func monitorPassthrough(c *Context, call *Call) Result { return call.Original() }
 
 // NewSystem wraps a machine with an empty user-mode world. The machine's
 // MonitorHookedAPIs (its own analysis monitor, e.g. the Cuckoo in-guest
@@ -114,14 +128,22 @@ func NewSystem(m *winsim.Machine) *System {
 func (s *System) stateFor(pid int) *procState {
 	st, ok := s.states[pid]
 	if !ok {
-		st = newProcState()
+		st = new(procState)
 		s.states[pid] = st
 		// The environment's own monitor hooks every analyzed process.
 		if s.monitor != nil {
-			st.tables = append(st.tables, s.monitor)
+			st.attach(s.monitor, s.M.Clock.Now())
 		}
 	}
 	return st
+}
+
+// programMemo is one remembered image -> program lookup.
+type programMemo struct {
+	valid bool
+	image string
+	body  Program
+	ok    bool
 }
 
 // ProcData returns the per-process data map hook packages may use.
@@ -138,19 +160,23 @@ func (s *System) ProcData(pid int) map[string]any {
 // self-spawns).
 func (s *System) RegisterProgram(image string, body Program) {
 	s.programs[winsim.NormalizePath(image)] = body
+	s.memo = programMemo{}
 }
 
 // ProgramFor returns the body registered for an image, if any.
 func (s *System) ProgramFor(image string) (Program, bool) {
-	p, ok := s.programs[winsim.NormalizePath(image)]
-	return p, ok
+	if !s.memo.valid || s.memo.image != image {
+		body, ok := s.programs[winsim.NormalizePath(image)]
+		s.memo = programMemo{valid: true, image: image, body: body, ok: ok}
+	}
+	return s.memo.body, s.memo.ok
 }
 
 // Launch creates a process for the image (emitting the kernel event) and
 // queues it for execution. parent may be nil for top-level launches.
 func (s *System) Launch(image, cmdline string, parent *winsim.Process) *winsim.Process {
 	child := s.M.SpawnProcess(image, cmdline, parent)
-	s.queue = append(s.queue, queueEntry{proc: child})
+	s.queue = append(s.queue, child)
 	if s.ChildLaunched != nil && parent != nil {
 		s.ChildLaunched(parent, child)
 	}
@@ -176,18 +202,22 @@ func (s *System) Run(budget time.Duration) int {
 	defer s.M.Clock.SetDeadline(0)
 
 	ran := 0
-	for len(s.queue) > 0 {
+	for s.head < len(s.queue) {
 		if s.executed >= s.MaxProcesses {
 			break
 		}
-		entry := s.queue[0]
-		s.queue = s.queue[1:]
-		if entry.proc.State == winsim.ProcessExited {
+		proc := s.queue[s.head]
+		s.queue[s.head] = nil
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
+		if proc.State == winsim.ProcessExited {
 			continue // killed (e.g. by a mitigation policy) before it ran
 		}
 		s.executed++
 		ran++
-		if expired := s.runOne(entry.proc); expired {
+		if expired := s.runOne(proc); expired {
 			break
 		}
 	}
@@ -198,9 +228,7 @@ func (s *System) Run(budget time.Duration) int {
 // budget expired during the run.
 func (s *System) runOne(p *winsim.Process) (expired bool) {
 	p.State = winsim.ProcessRunning
-	ctx := s.Context(p)
-
-	body, registered := s.programs[winsim.NormalizePath(p.Image)]
+	body, registered := s.ProgramFor(p.Image)
 
 	defer func() {
 		r := recover()
@@ -222,13 +250,15 @@ func (s *System) runOne(p *winsim.Process) (expired bool) {
 		s.M.ExitProcess(p, ExitOK)
 		return false
 	}
-	code := body(ctx)
+	st := s.stateFor(p.PID)
+	st.ctx = Context{M: s.M, P: p, sys: s, st: st}
+	code := body(&st.ctx)
 	s.M.ExitProcess(p, code)
 	return false
 }
 
 // QueueLen returns the number of processes waiting to run.
-func (s *System) QueueLen() int { return len(s.queue) }
+func (s *System) QueueLen() int { return len(s.queue) - s.head }
 
 // ExecutedCount returns how many processes have been dispatched so far.
 func (s *System) ExecutedCount() int { return s.executed }
@@ -237,6 +267,6 @@ func (s *System) ExecutedCount() int { return s.executed }
 func (s *System) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "system profile=%s queued=%d executed=%d programs=%d",
-		s.M.Profile, len(s.queue), s.executed, len(s.programs))
+		s.M.Profile, s.QueueLen(), s.executed, len(s.programs))
 	return sb.String()
 }

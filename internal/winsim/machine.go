@@ -160,6 +160,23 @@ func (m *Machine) ExitProcess(p *Process, code int) {
 	m.Windows.RemoveByPID(p.PID)
 	m.Record(trace.Event{
 		Kind: trace.KindProcessExit, PID: p.PID, Image: p.Image,
-		Target: p.Image, Detail: "code=" + strconv.Itoa(code), Success: true,
+		Target: p.Image, Detail: exitDetail(code), Success: true,
 	})
+}
+
+// exitDetails holds the ProcessExit detail for every conventional exit
+// status, so the one-per-process exit event builds no string.
+var exitDetails = func() (d [256]string) {
+	for code := range d {
+		d[code] = "code=" + strconv.Itoa(code)
+	}
+	return d
+}()
+
+// exitDetail renders a ProcessExit event's detail.
+func exitDetail(code int) string {
+	if code >= 0 && code < len(exitDetails) {
+		return exitDetails[code]
+	}
+	return "code=" + strconv.Itoa(code)
 }

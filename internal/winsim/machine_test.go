@@ -56,7 +56,7 @@ func TestMachineSpawnAndExit(t *testing.T) {
 	if p.SpawnDepth != 1 {
 		t.Errorf("SpawnDepth = %d", p.SpawnDepth)
 	}
-	creates := m.Tracer.ByKind(trace.KindProcessCreate)
+	creates := m.Tracer.Filter(isKind(trace.KindProcessCreate))
 	if len(creates) != 1 || creates[0].Target != p.Image {
 		t.Fatalf("creates = %v", creates)
 	}
@@ -64,11 +64,11 @@ func TestMachineSpawnAndExit(t *testing.T) {
 	if p.State != ProcessExited {
 		t.Error("process not exited")
 	}
-	if len(m.Tracer.ByKind(trace.KindProcessExit)) != 1 {
+	if len(m.Tracer.Filter(isKind(trace.KindProcessExit))) != 1 {
 		t.Error("missing exit event")
 	}
 	m.ExitProcess(p, 1) // idempotent
-	if len(m.Tracer.ByKind(trace.KindProcessExit)) != 1 {
+	if len(m.Tracer.Filter(isKind(trace.KindProcessExit))) != 1 {
 		t.Error("double exit recorded")
 	}
 }
@@ -393,4 +393,9 @@ func TestWindowClasses(t *testing.T) {
 	if got := wm.Classes(); len(got) != 2 {
 		t.Errorf("classes = %v", got)
 	}
+}
+
+// isKind is a Recorder.Filter predicate selecting one event kind.
+func isKind(k trace.Kind) func(trace.Event) bool {
+	return func(e trace.Event) bool { return e.Kind == k }
 }

@@ -75,9 +75,8 @@ func (p *Process) ImageBase() string {
 // HasModule reports whether a module with the given base name is loaded
 // (case-insensitive).
 func (p *Process) HasModule(name string) bool {
-	want := strings.ToLower(name)
 	for _, m := range p.Modules {
-		if strings.ToLower(m) == want {
+		if strings.EqualFold(m, name) {
 			return true
 		}
 	}
@@ -108,18 +107,28 @@ func NewProcessTable() *ProcessTable {
 	return &ProcessTable{nextPID: 4, procs: make(map[int]*Process)}
 }
 
+// newProcess co-allocates a process with room for its first three modules
+// (the two every process starts with plus one injected DLL), so creating
+// and hooking a process costs one allocation.
+type newProcess struct {
+	p       Process
+	modules [3]string
+}
+
 // Create registers a new process and returns it.
 func (t *ProcessTable) Create(image, cmdline string, parentPID int, start time.Duration) *Process {
 	t.faults.procOp()
-	p := &Process{
+	np := &newProcess{modules: [3]string{"ntdll.dll", "kernel32.dll"}}
+	np.p = Process{
 		PID:         t.nextPID,
 		ParentPID:   parentPID,
 		Image:       image,
 		CommandLine: cmdline,
 		State:       ProcessPending,
 		StartTime:   start,
-		Modules:     []string{"ntdll.dll", "kernel32.dll"},
+		Modules:     np.modules[:2],
 	}
+	p := &np.p
 	t.nextPID += 4
 	t.procs[p.PID] = p
 	t.order = append(t.order, p.PID)
